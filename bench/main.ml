@@ -540,8 +540,9 @@ let report_ablation_landmarks ~fast () =
     (fun (name, strategy) ->
       let b = Landmark_scheme.build ~strategy g in
       let st = Routing_function.stretch b.Scheme.rf in
-      pf "  %-14s %10d %10d %12.3f@." name (Scheme.mem_local b)
-        (Scheme.mem_global b) st.Routing_function.max_ratio)
+      let local, global = Scheme.mem_bits b in
+      pf "  %-14s %10d %10d %12.3f@." name local global
+        st.Routing_function.max_ratio)
     [
       ("random", Landmark_scheme.Random_landmarks);
       ("high-degree", Landmark_scheme.High_degree);

@@ -6,9 +6,11 @@
    graph must sit well under 1.5 (the Krioukov/Fall/Yang regime), its
    global memory must stay within the ~n^(3/2) TZ bound, and both its
    local and global footprints must undercut the Cowen-style landmark
-   scheme on the same graph. Then build and routing throughput are
-   timed through the shared Umrs_bench harness and gated against the
-   committed BENCH_tz.json baseline. *)
+   scheme on the same graph, and routing a pair must allocate at most a
+   fixed number of minor-heap words per hop (route_length walks the
+   route without building a trace). Then build and routing throughput
+   are timed through the shared Umrs_bench harness and gated against
+   the committed BENCH_tz.json baseline. *)
 
 open Umrs_graph
 open Umrs_routing
@@ -37,30 +39,41 @@ let check_graph name g ~mean_limit =
   (* the TZ memory bound: O(n^(3/2)) table entries of O(log n) bits *)
   let log2n = Umrs_bitcode.Codes.ceil_log2 (max 2 n) in
   let bound = 12 * int_of_float (float_of_int n ** 1.5) * log2n in
-  let global = Scheme.mem_global b in
+  let local, global = Scheme.mem_bits b in
   if global > bound then
     die "%s: global memory %d bits above the TZ bound %d" name global bound;
-  let lm = Landmark_scheme.build g in
-  if global >= Scheme.mem_global lm then
-    die "%s: global memory %d not below landmark-3's %d" name global
-      (Scheme.mem_global lm);
-  if Scheme.mem_local b >= Scheme.mem_local lm then
-    die "%s: local memory %d not below landmark-3's %d" name
-      (Scheme.mem_local b) (Scheme.mem_local lm);
+  let lm_local, lm_global = Scheme.mem_bits (Landmark_scheme.build g) in
+  if global >= lm_global then
+    die "%s: global memory %d not below landmark-3's %d" name global lm_global;
+  if local >= lm_local then
+    die "%s: local memory %d not below landmark-3's %d" name local lm_local;
   Printf.printf
     "%-14s n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f local=%d global=%d \
      (landmark-3: %d/%d)\n"
     name n d.Stretch_dist.ds_mean d.Stretch_dist.ds_p50
-    d.Stretch_dist.ds_p95 d.Stretch_dist.ds_max (Scheme.mem_local b) global
-    (Scheme.mem_local lm) (Scheme.mem_global lm);
-  (b, d)
+    d.Stretch_dist.ds_p95 d.Stretch_dist.ds_max local global lm_local
+    lm_global;
+  (b, d, global)
+
+(* Minor-heap words allocated per hop by route_length over the pairs —
+   a deterministic count (no timing), so it is gated hard. *)
+let max_words_per_hop = 6.0
+
+let words_per_hop rf pairs =
+  let hops = ref 0 in
+  let w0 = Gc.minor_words () in
+  Array.iter
+    (fun (u, v) -> hops := !hops + Routing_function.route_length rf u v)
+    pairs;
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (max 1 !hops)
 
 let () =
   let st = Random.State.make [| 0x72; 0x5EED |] in
   let ba = Generators.barabasi_albert st ~n:256 ~m:2 in
   let pl = Generators.chung_lu st ~n:256 ~exponent:2.5 in
-  let b_ba, d_ba = check_graph "ba-256" ba ~mean_limit:(Some 1.5) in
-  let _b_pl, d_pl = check_graph "powerlaw-256" pl ~mean_limit:None in
+  let b_ba, d_ba, ba_global = check_graph "ba-256" ba ~mean_limit:(Some 1.5) in
+  let _b_pl, d_pl, _ = check_graph "powerlaw-256" pl ~mean_limit:None in
   (* timing benches, gated loosely (build/route jitter across machines) *)
   B.Harness.register ~name:"tz/build(ba-256)"
     ~budget:{ B.Harness.warmup = 1; min_iters = 3; max_iters = 15;
@@ -78,6 +91,12 @@ let () =
         in
         (u, draw ()))
   in
+  let wph = words_per_hop rf pairs in
+  if wph > max_words_per_hop then
+    die "ba-256: route_length allocates %.2f minor words per hop (bound %.1f)"
+      wph max_words_per_hop;
+  Printf.printf "ba-256 route_length: %.2f minor words per hop (bound %.1f)\n"
+    wph max_words_per_hop;
   B.Harness.register ~name:"tz/route(ba-256)"
     ~budget:{ B.Harness.warmup = 1; min_iters = 3; max_iters = 25;
               max_seconds = 2.0 }
@@ -93,8 +112,8 @@ let () =
           ("ba_p95_stretch", B.Json.Num d_ba.Stretch_dist.ds_p95);
           ("ba_max_stretch", B.Json.Num d_ba.Stretch_dist.ds_max);
           ("powerlaw_mean_stretch", B.Json.Num d_pl.Stretch_dist.ds_mean);
-          ("ba_mem_global_bits",
-           B.Json.Num (float_of_int (Scheme.mem_global b_ba))) ]
+          ("ba_mem_global_bits", B.Json.Num (float_of_int ba_global));
+          ("ba_route_words_per_hop", B.Json.Num wph) ]
       ()
   in
   B.Cli.finish ~default_json:"BENCH_tz.json" report;

@@ -940,18 +940,17 @@ let table2_cmd =
           Stretch_dist.measure ~cutoff ~pairs ~seed b.Scheme.rf
         in
         let meth = if d.Stretch_dist.ds_exact then "exact" else "sampled" in
+        let local, global = Scheme.mem_bits b in
         if csv then
           pf "%s,%s,%d,%d,%d,%d,%d,%s,%.6f,%.6f,%.6f,%.6f,%.6f@."
-            s.Scheme.name family (Graph.order g) (Graph.size g)
-            (Scheme.mem_local b) (Scheme.mem_global b)
+            s.Scheme.name family (Graph.order g) (Graph.size g) local global
             d.Stretch_dist.ds_pairs meth d.Stretch_dist.ds_mean
             d.Stretch_dist.ds_p50 d.Stretch_dist.ds_p95
             d.Stretch_dist.ds_p99 d.Stretch_dist.ds_max
         else
           pf "%-14s %9d %11d %7.3f %7.3f %7.3f %7.3f %7.3f %9d %s@."
-            s.Scheme.name (Scheme.mem_local b) (Scheme.mem_global b)
-            d.Stretch_dist.ds_mean d.Stretch_dist.ds_p50
-            d.Stretch_dist.ds_p95 d.Stretch_dist.ds_p99
+            s.Scheme.name local global d.Stretch_dist.ds_mean
+            d.Stretch_dist.ds_p50 d.Stretch_dist.ds_p95 d.Stretch_dist.ds_p99
             d.Stretch_dist.ds_max d.Stretch_dist.ds_pairs meth)
       schemes
   in

@@ -22,12 +22,40 @@ let add_bit b bit =
   end;
   b.len <- b.len + 1
 
+(* rev8.[c] is byte c with its bit order reversed: the stream is LSB
+   first within a byte, values are written MSB first. *)
+let rev8 =
+  String.init 256 (fun c ->
+      let r = ref 0 in
+      for i = 0 to 7 do
+        if c land (1 lsl i) <> 0 then r := !r lor (1 lsl (7 - i))
+      done;
+      Char.chr !r)
+
+(* the [k] low bits of [c] (k <= 8) in reversed order *)
+let rev_low c k = Char.code (String.unsafe_get rev8 c) lsr (8 - k)
+
 let add_bits b x ~width =
   if width < 0 || width > 62 then invalid_arg "Bitbuf.add_bits: width";
   if x < 0 || (width < 62 && x lsr width <> 0) then
     invalid_arg "Bitbuf.add_bits: value does not fit";
-  for i = width - 1 downto 0 do
-    add_bit b ((x lsr i) land 1 = 1)
+  ensure b width;
+  (* Fill byte by byte: each step takes the next [k] bits of [x] (MSB
+     first) into the free high bits of the current byte. Bytes past
+     [len] are zero, so OR-ing suffices. *)
+  let left = ref width in
+  while !left > 0 do
+    let pos = b.len in
+    let off = pos land 7 in
+    let k = min (8 - off) !left in
+    let chunk = (x lsr (!left - k)) land ((1 lsl k) - 1) in
+    let byte = pos lsr 3 in
+    Bytes.unsafe_set b.bits byte
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get b.bits byte)
+          lor (rev_low chunk k lsl off)));
+    b.len <- pos + k;
+    left := !left - k
   done
 
 let get b i =
@@ -87,9 +115,19 @@ let read_bits r ~width =
   if width < 0 || width > 62 then invalid_arg "Bitbuf.read_bits: width";
   (* Check up front so a failed read never half-consumes the reader. *)
   if r.buf.len - r.pos < width then invalid_arg "Bitbuf.read_bits: past end";
-  let x = ref 0 in
-  for _ = 1 to width do
-    x := (!x lsl 1) lor if read_bit r then 1 else 0
+  let bits = r.buf.bits in
+  let x = ref 0 and left = ref width in
+  while !left > 0 do
+    let pos = r.pos in
+    let off = pos land 7 in
+    let k = min (8 - off) !left in
+    let chunk =
+      (Char.code (Bytes.unsafe_get bits (pos lsr 3)) lsr off)
+      land ((1 lsl k) - 1)
+    in
+    x := (!x lsl k) lor rev_low chunk k;
+    r.pos <- pos + k;
+    left := !left - k
   done;
   !x
 

@@ -1,30 +1,38 @@
 let infinity = max_int
 
-let distances_with_parents g src =
+let distances g src =
   let n = Graph.order g in
   if src < 0 || src >= n then invalid_arg "Bfs: bad source";
   let dist = Array.make n infinity in
+  ignore (Graph.bfs_fill g src dist (Array.make n 0));
+  dist
+
+(* Parents are recovered after the search: walking the visited vertices
+   in BFS order, the first one adjacent to [w] at distance [d(w) - 1] is
+   the vertex that discovered [w] — smallest-port-first, as the queue
+   expands neighbours in port order. *)
+let distances_with_parents g src =
+  let n = Graph.order g in
+  if src < 0 || src >= n then invalid_arg "Bfs: bad source";
+  let dist = Array.make n infinity and queue = Array.make n 0 in
+  let k = Graph.bfs_fill g src dist queue in
   let parent = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
+  for i = 0 to k - 1 do
+    let v = queue.(i) in
     let dv = dist.(v) in
-    Array.iter
-      (fun w ->
-        if dist.(w) = infinity then begin
-          dist.(w) <- dv + 1;
-          parent.(w) <- v;
-          Queue.add w queue
-        end)
-      (Graph.neighbors g v)
+    Graph.iter_neighbors g v (fun w ->
+        if parent.(w) < 0 && dist.(w) = dv + 1 then
+          parent.(w) <- v)
   done;
   (dist, parent)
 
-let distances g src = fst (distances_with_parents g src)
-
-let all_pairs g = Array.init (Graph.order g) (fun v -> distances g v)
+let all_pairs g =
+  let n = Graph.order g in
+  let queue = Array.make n 0 in
+  Array.init n (fun v ->
+      let dist = Array.make n infinity in
+      ignore (Graph.bfs_fill g v dist queue);
+      dist)
 
 let dist g u v = (distances g u).(v)
 
@@ -91,9 +99,8 @@ let count_shortest_paths g u v =
     Array.iter
       (fun x ->
         if count.(x) > 0 then
-          Array.iter
-            (fun w -> if dist.(w) = dist.(x) + 1 then count.(w) <- count.(w) + count.(x))
-            (Graph.neighbors g x))
+          Graph.iter_neighbors g x (fun w ->
+              if dist.(w) = dist.(x) + 1 then count.(w) <- count.(w) + count.(x)))
       order;
     count.(v)
   end

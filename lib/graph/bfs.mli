@@ -1,7 +1,9 @@
 (** Breadth-first search, distances, and shortest paths.
 
     All distances are hop counts (uniform arc costs, as in the paper).
-    Unreachable vertices get distance [infinity = max_int]. *)
+    Unreachable vertices get distance [infinity = max_int]. Every search
+    here runs on {!Graph.bfs_fill}; callers that search from many
+    sources should call it directly over reused buffers. *)
 
 val infinity : int
 (** Distance of unreachable vertices ([max_int]). *)

@@ -12,21 +12,46 @@ let size g =
 
 let max_degree g = Array.fold_left (fun m row -> max m (Array.length row)) 0 g.adj
 
+(* One ordered pass over the arcs, raising on the first bad arc in
+   (vertex, port) order. Symmetry is an O(1) stamp test: before row [v]
+   is scanned, [into.(u) <- v] for every in-arc [u -> v], read off a
+   counting-sorted in-arc index. O(n + m) overall. *)
 let check_simple_symmetric adj =
   let n = Array.length adj in
+  let in_range w = w >= 0 && w < n in
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (Array.iter (fun w -> if in_range w then start.(w + 1) <- start.(w + 1) + 1))
+    adj;
+  for w = 1 to n do
+    start.(w) <- start.(w) + start.(w - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let src_of = Array.make start.(n) 0 in
   Array.iteri
-    (fun v row ->
-      let seen = Hashtbl.create (Array.length row) in
+    (fun u row ->
       Array.iter
         (fun w ->
-          if w < 0 || w >= n then invalid_arg "Graph: endpoint out of range";
-          if w = v then invalid_arg "Graph: loop";
-          if Hashtbl.mem seen w then invalid_arg "Graph: duplicate edge";
-          Hashtbl.add seen w ();
-          if not (Array.exists (fun x -> x = v) adj.(w)) then
-            invalid_arg "Graph: not symmetric")
+          if in_range w then begin
+            src_of.(fill.(w)) <- u;
+            fill.(w) <- fill.(w) + 1
+          end)
         row)
-    adj
+    adj;
+  let into = Array.make n (-1) and seen = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    for i = start.(v) to start.(v + 1) - 1 do
+      into.(src_of.(i)) <- v
+    done;
+    Array.iter
+      (fun w ->
+        if not (in_range w) then invalid_arg "Graph: endpoint out of range";
+        if w = v then invalid_arg "Graph: loop";
+        if seen.(w) = v then invalid_arg "Graph: duplicate edge";
+        seen.(w) <- v;
+        if into.(w) <> v then invalid_arg "Graph: not symmetric")
+      adj.(v)
+  done
 
 let of_adjacency adj =
   let adj = Array.map Array.copy adj in
@@ -69,6 +94,37 @@ let neighbor g v ~port =
   g.adj.(v).(port - 1)
 
 let neighbors g v = Array.copy g.adj.(v)
+
+let iter_neighbors g v f = Array.iter f g.adj.(v)
+
+let unvisited = max_int
+
+let bfs_fill ?(max_dist = max_int) g src dist queue =
+  let adj = g.adj in
+  let n = Array.length adj in
+  if src < 0 || src >= n then invalid_arg "Graph.bfs_fill: bad source";
+  if Array.length dist < n || Array.length queue < n then
+    invalid_arg "Graph.bfs_fill: buffers shorter than the order";
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let dv = dist.(v) in
+    if dv < max_dist then begin
+      let row = adj.(v) in
+      for k = 0 to Array.length row - 1 do
+        let w = row.(k) in
+        if dist.(w) = unvisited then begin
+          dist.(w) <- dv + 1;
+          queue.(!tail) <- w;
+          incr tail
+        end
+      done
+    end
+  done;
+  !tail
 
 let port_to g ~src ~dst =
   let row = g.adj.(src) in
@@ -167,26 +223,7 @@ let add_edge g u v =
 
 let is_connected g =
   let n = order g in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    Queue.add 0 queue;
-    seen.(0) <- true;
-    let count = ref 1 in
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      Array.iter
-        (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            Queue.add w queue
-          end)
-        g.adj.(v)
-    done;
-    !count = n
-  end
+  n = 0 || bfs_fill g 0 (Array.make n unvisited) (Array.make n 0) = n
 
 let equal g1 g2 =
   order g1 = order g2

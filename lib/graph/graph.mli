@@ -46,7 +46,34 @@ val neighbor : t -> vertex -> port:port -> vertex
     Raises [Invalid_argument] if [port] is not in [1 .. degree g v]. *)
 
 val neighbors : t -> vertex -> vertex array
-(** Fresh array of the neighbours of [v], in port order. *)
+(** Fresh array of the neighbours of [v], in port order. Hot loops
+    should use {!iter_neighbors} or {!bfs_fill}, which do not copy. *)
+
+val iter_neighbors : t -> vertex -> (vertex -> unit) -> unit
+(** [iter_neighbors g v f] calls [f w] for each neighbour [w] of [v], in
+    port order, without copying the row. *)
+
+(** {1 Breadth-first search kernel} *)
+
+val bfs_fill :
+  ?max_dist:int -> t -> vertex -> int array -> int array -> int
+(** [bfs_fill ?max_dist g src dist queue] is the one breadth-first
+    search of the library ({!Bfs} wraps it). It runs over two
+    caller-owned buffers of length at least [order g]:
+
+    - on entry [dist.(v)] must be [max_int] ([Bfs.infinity],
+      "unvisited") for every [v] reachable from [src];
+    - on return [dist.(v)] is the hop distance from [src] for every
+      visited [v], and [queue.(0 .. k-1)] lists the [k] visited vertices
+      in BFS order (neighbours in port order), [k] being the result.
+      Every other entry of [dist] is untouched.
+
+    With [max_dist], vertices at distance [max_dist] are visited but not
+    expanded, so exactly the vertices within [max_dist] hops are
+    visited. A caller reusing the buffers for another source resets
+    [dist.(queue.(i)) <- max_int] for [i < k] — O(k), not O(n).
+    Allocates nothing. Raises [Invalid_argument] on a bad source or
+    short buffers. *)
 
 val port_to : t -> src:vertex -> dst:vertex -> port option
 (** The local port of [src] whose arc leads to [dst], if adjacent. *)

@@ -102,7 +102,15 @@ let map_range_with ?domains ~init ?(finally = fun _ -> ()) n f =
   end
 
 let all_pairs ?domains g =
-  map_range ?domains (Graph.order g) (fun src -> Bfs.distances g src)
+  let n = Graph.order g in
+  (* one BFS queue per domain; each row is a fresh dist array *)
+  map_range_with ?domains
+    ~init:(fun () -> Array.make n 0)
+    n
+    (fun queue src ->
+      let dist = Array.make n Bfs.infinity in
+      ignore (Graph.bfs_fill g src dist queue);
+      dist)
 
 let all_pairs_weighted ?domains w =
   map_range ?domains (Graph.order (Weighted.graph w)) (Weighted.dijkstra w)

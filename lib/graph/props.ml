@@ -22,49 +22,23 @@ let girth g =
   let n = Graph.order g in
   let best = ref max_int in
   for src = 0 to n - 1 do
-    let dist = Array.make n (-1) in
-    let parent = Array.make n (-1) in
-    let queue = Queue.create () in
-    dist.(src) <- 0;
-    Queue.add src queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      Array.iter
-        (fun w ->
-          if dist.(w) = -1 then begin
-            dist.(w) <- dist.(v) + 1;
-            parent.(w) <- v;
-            Queue.add w queue
-          end
-          else if parent.(v) <> w && w <> v then
-            best := min !best (dist.(v) + dist.(w) + 1))
-        (Graph.neighbors g v)
-    done
+    let dist, parent = Bfs.distances_with_parents g src in
+    Graph.iter_arcs g (fun v _ w ->
+        if dist.(v) <> Bfs.infinity && parent.(v) <> w && parent.(w) <> v then
+          best := min !best (dist.(v) + dist.(w) + 1))
   done;
   if !best = max_int then None else Some !best
 
 let is_bipartite g =
+  (* BFS depth parity 2-colours each component; the graph is bipartite
+     iff no edge joins two vertices of equal parity. *)
   let n = Graph.order g in
-  let color = Array.make n (-1) in
-  let ok = ref true in
+  let dist = Array.make n Bfs.infinity and queue = Array.make n 0 in
   for src = 0 to n - 1 do
-    if color.(src) = -1 then begin
-      color.(src) <- 0;
-      let queue = Queue.create () in
-      Queue.add src queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        Array.iter
-          (fun w ->
-            if color.(w) = -1 then begin
-              color.(w) <- 1 - color.(v);
-              Queue.add w queue
-            end
-            else if color.(w) = color.(v) then ok := false)
-          (Graph.neighbors g v)
-      done
-    end
+    if dist.(src) = Bfs.infinity then ignore (Graph.bfs_fill g src dist queue)
   done;
+  let ok = ref true in
+  Graph.iter_arcs g (fun u _ v -> if (dist.(u) - dist.(v)) land 1 = 0 then ok := false);
   !ok
 
 let average_degree g =

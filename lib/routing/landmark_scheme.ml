@@ -13,7 +13,7 @@ type data = {
   landmark_index : int array;        (* vertex -> index in [landmark], -1 *)
   home : int array;                  (* vertex -> index of nearest landmark *)
   to_landmark : int array array;     (* to_landmark.(v).(i) = port toward landmark i *)
-  cluster : (int * int) array array; (* cluster.(v) = sorted (dst, port) *)
+  cluster : Cluster_table.t;         (* v's table: (dst, port) *)
   trees : Tree_labels.t array;       (* one per landmark *)
 }
 
@@ -91,66 +91,10 @@ let prepare ?(seed = 0xC0C0A) ?landmarks ?(strategy = Random_landmarks) g =
               find 1
             end))
   in
-  (* cluster entries: w in cluster(u) iff 0 < d(u,w) < d(w, L);
-     computed from BFS out of each w limited by its landmark radius *)
-  let cluster_lists = Array.make n [] in
-  for w = 0 to n - 1 do
-    let radius = dist_to_l w in
-    if radius > 0 then begin
-      (* all u with d(u,w) < radius; BFS from w bounded by radius-1 *)
-      let dist = Array.make n (-1) in
-      let queue = Queue.create () in
-      dist.(w) <- 0;
-      Queue.add w queue;
-      while not (Queue.is_empty queue) do
-        let x = Queue.pop queue in
-        if dist.(x) < radius - 1 then
-          Array.iter
-            (fun y ->
-              if dist.(y) = -1 then begin
-                dist.(y) <- dist.(x) + 1;
-                Queue.add y queue
-              end)
-            (Graph.neighbors g x)
-      done;
-      (* next hop from u toward w: smallest port one closer *)
-      for u = 0 to n - 1 do
-        if u <> w && dist.(u) >= 0 then begin
-          let deg = Graph.degree g u in
-          let rec find k =
-            if k > deg then assert false
-            else begin
-              let y = Graph.neighbor g u ~port:k in
-              if dist.(y) = dist.(u) - 1 then k else find (k + 1)
-            end
-          in
-          cluster_lists.(u) <- (w, find 1) :: cluster_lists.(u)
-        end
-      done
-    end
-  done;
-  let cluster =
-    Array.map
-      (fun entries ->
-        let a = Array.of_list entries in
-        Array.sort compare a;
-        a)
-      cluster_lists
-  in
+  (* cluster entries: w in cluster(u) iff 0 < d(u,w) < d(w, L) *)
+  let cluster = Cluster_table.build g ~radius:dist_to_l in
   let trees = Array.map (Tree_labels.of_bfs g) chosen in
   { graph = g; landmark = chosen; landmark_index; home; to_landmark; cluster; trees }
-
-let cluster_lookup d v dst =
-  let a = d.cluster.(v) in
-  let rec bin lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let w, p = a.(mid) in
-      if w = dst then Some p else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
-    end
-  in
-  bin 0 (Array.length a - 1)
 
 let routing_function d =
   let g = d.graph in
@@ -164,7 +108,7 @@ let routing_function d =
     | Routing_function.Packed [| v; li; dfs |] ->
       if x = v then None
       else begin
-        match cluster_lookup d x v with
+        match Cluster_table.lookup d.cluster x v with
         | Some p -> Some p
         | None ->
           (* descend if v sits in one of my child subtrees of tree li *)
@@ -197,23 +141,18 @@ let encode_vertex d v =
   (* ports to each landmark (0 if self) *)
   Array.iter (fun p -> Codes.write_fixed buf p ~width:(pwidth + 1)) d.to_landmark.(v);
   (* cluster table *)
-  Codes.write_gamma buf (Array.length d.cluster.(v) + 1);
-  Array.iter
-    (fun (w, p) ->
+  Codes.write_gamma buf (Cluster_table.size d.cluster v + 1);
+  Cluster_table.iter d.cluster v (fun w p ->
       Codes.write_fixed buf w ~width:vwidth;
-      Codes.write_fixed buf (p - 1) ~width:pwidth)
-    d.cluster.(v);
+      Codes.write_fixed buf (p - 1) ~width:pwidth);
   (* child intervals in each landmark tree *)
   Array.iter
     (fun tree ->
-      let row = tree.Tree_labels.children.(v) in
-      Codes.write_gamma buf (Array.length row + 1);
-      Array.iter
-        (fun (p, lo, hi) ->
+      Codes.write_gamma buf (Tree_labels.child_count tree v + 1);
+      Tree_labels.iter_children tree v (fun p lo hi ->
           Codes.write_fixed buf (p - 1) ~width:pwidth;
           Codes.write_fixed buf lo ~width:vwidth;
-          Codes.write_fixed buf hi ~width:vwidth)
-        row)
+          Codes.write_fixed buf hi ~width:vwidth))
     d.trees;
   buf
 
@@ -278,4 +217,4 @@ let scheme =
 
 let cluster_sizes ?seed ?landmarks ?strategy g =
   let d = prepare ?seed ?landmarks ?strategy g in
-  Array.map Array.length d.cluster
+  Array.init (Graph.order g) (Cluster_table.size d.cluster)

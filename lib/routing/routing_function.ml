@@ -34,38 +34,52 @@ type trace = { path : Graph.vertex list; headers : header list; hops : int }
 
 exception Routing_loop of Graph.vertex * Graph.vertex
 
-let route ?max_hops rf src dst =
+(* The one route walk: calls [visit u_i h_i] for every node of the path
+   (source first) and returns the hop count. A top-level loop (no
+   closure per route) that allocates nothing itself, so with a no-op
+   [visit] it measures [dR] without building a trace. *)
+let rec walk_from rf visit budget src dst cur h hops =
+  visit cur h;
+  match rf.port cur h with
+  | None ->
+    if cur <> dst then
+      invalid_arg
+        (Printf.sprintf
+           "Routing_function.route: delivered at %d instead of %d" cur dst);
+    hops
+  | Some k ->
+    if hops >= budget then raise (Routing_loop (src, dst));
+    let next = Graph.neighbor rf.graph cur ~port:k in
+    walk_from rf visit budget src dst next (rf.next_header cur h) (hops + 1)
+
+let walk ?max_hops rf src dst visit =
   if src = dst then invalid_arg "Routing_function.route: src = dst";
   let budget =
     match max_hops with
     | Some b -> b
     | None -> (4 * Graph.order rf.graph) + 16
   in
-  let rec go cur h hops rpath rheaders =
-    match rf.port cur h with
-    | None ->
-      if cur <> dst then
-        invalid_arg
-          (Printf.sprintf
-             "Routing_function.route: delivered at %d instead of %d" cur dst);
-      { path = List.rev rpath; headers = List.rev rheaders; hops }
-    | Some k ->
-      if hops >= budget then raise (Routing_loop (src, dst));
-      let next = Graph.neighbor rf.graph cur ~port:k in
-      let h' = rf.next_header cur h in
-      go next h' (hops + 1) (next :: rpath) (h' :: rheaders)
-  in
-  let h0 = rf.init src dst in
-  go src h0 0 [ src ] [ h0 ]
+  walk_from rf visit budget src dst src (rf.init src dst) 0
 
-let route_length ?max_hops rf src dst = (route ?max_hops rf src dst).hops
+let route ?max_hops rf src dst =
+  let rpath = ref [] and rheaders = ref [] in
+  let hops =
+    walk ?max_hops rf src dst (fun u h ->
+        rpath := u :: !rpath;
+        rheaders := h :: !rheaders)
+  in
+  { path = List.rev !rpath; headers = List.rev !rheaders; hops }
+
+let no_visit _ _ = ()
+
+let route_length ?max_hops rf src dst = walk ?max_hops rf src dst no_visit
 
 let delivers_all rf =
   let n = Graph.order rf.graph in
   try
     for u = 0 to n - 1 do
       for v = 0 to n - 1 do
-        if u <> v then ignore (route rf u v)
+        if u <> v then ignore (route_length rf u v)
       done
     done;
     true
@@ -160,16 +174,19 @@ let sampled_stretch st rf ~pairs =
 let stretch_ratios ?dist rf =
   with_dist ?dist rf (fun d ->
       let n = Graph.order rf.graph in
-      let acc = ref [] in
-      for u = n - 1 downto 0 do
-        for v = n - 1 downto 0 do
+      let ratios = Array.make (max 0 (n * (n - 1))) 1.0 in
+      let k = ref 0 in
+      for u = 0 to n - 1 do
+        let du = d.(u) in
+        for v = 0 to n - 1 do
           if u <> v then begin
             let dr = route_length rf u v in
-            acc := (float_of_int dr /. float_of_int d.(u).(v)) :: !acc
+            ratios.(!k) <- float_of_int dr /. float_of_int du.(v);
+            incr k
           end
         done
       done;
-      Array.of_list !acc)
+      ratios)
 
 let header_bits ~order h =
   let width_of x = max 1 (Umrs_bitcode.Codes.bits_needed (max 1 x)) in

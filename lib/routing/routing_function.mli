@@ -54,7 +54,9 @@ val route : ?max_hops:int -> t -> Graph.vertex -> Graph.vertex -> trace
     [Invalid_argument] if the function delivers at a wrong vertex. *)
 
 val route_length : ?max_hops:int -> t -> Graph.vertex -> Graph.vertex -> int
-(** Hop count of [route]. *)
+(** Hop count of [route], from the same walk (same hop budget, same
+    [Routing_loop] and [Invalid_argument]) without building the trace:
+    it allocates only what the routing function itself does. *)
 
 val delivers_all : t -> bool
 (** All ordered pairs are delivered without looping. *)

@@ -27,12 +27,16 @@ type t = {
 val mem_at : built -> Graph.vertex -> int
 (** Bits stored at one router. *)
 
+val mem_bits : built -> int * int
+(** [(max_x MEM(x), sum_x MEM(x))] from one pass that encodes every
+    router once — use it when both are needed. *)
+
 val mem_local : built -> int
 (** [max_x MEM(x)] — the paper's local memory requirement of the
-    produced routing function. *)
+    produced routing function. [fst (mem_bits b)]. *)
 
 val mem_global : built -> int
-(** [sum_x MEM(x)]. *)
+(** [sum_x MEM(x)]. [snd (mem_bits b)]. *)
 
 val mem_profile : built -> int array
 (** Per-vertex bit counts. *)

@@ -53,24 +53,34 @@ let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
     Array.of_list
       (List.filter (fun u -> by_src.(u) <> []) (List.init n Fun.id))
   in
-  let per_source =
-    Parallel.map_range ?domains (Array.length sources) (fun i ->
-        let u = sources.(i) in
-        let d = Bfs.distances g u in
-        List.rev_map
-          (fun v ->
-            let dr = Routing_function.route_length rf u v in
-            float_of_int dr /. float_of_int d.(v))
-          by_src.(u))
-  in
+  (* Source i's ratios fill ratios.(offset.(i) ..) in draw order, each
+     domain writing its own sources' slots. One dist/queue pair per
+     domain is reused across its sources: after a source, only the
+     entries its BFS visited are reset to unvisited. *)
+  let offset = Array.make (Array.length sources + 1) 0 in
+  Array.iteri
+    (fun i u -> offset.(i + 1) <- offset.(i) + List.length by_src.(u))
+    sources;
   let ratios = Array.make pairs 1.0 in
-  let k = ref 0 in
-  Array.iter
-    (List.iter (fun r ->
-         ratios.(!k) <- r;
-         incr k))
-    per_source;
-  assert (!k = pairs);
+  ignore
+    (Parallel.map_range_with ?domains
+       ~init:(fun () -> (Array.make n Bfs.infinity, Array.make n 0))
+       (Array.length sources)
+       (fun (dist, queue) i ->
+         let u = sources.(i) in
+         let k = Graph.bfs_fill g u dist queue in
+         (* by_src lists destinations newest draw first *)
+         let slot = ref (offset.(i + 1)) in
+         List.iter
+           (fun v ->
+             decr slot;
+             let dr = Routing_function.route_length rf u v in
+             ratios.(!slot) <- float_of_int dr /. float_of_int dist.(v))
+           by_src.(u);
+         for j = 0 to k - 1 do
+           dist.(queue.(j)) <- Bfs.infinity
+         done));
+  assert (offset.(Array.length sources) = pairs);
   of_ratios ~exact:false ratios
 
 let measure ?(cutoff = default_cutoff) ?pairs ?seed ?domains rf =

@@ -3,44 +3,50 @@ open Umrs_graph
 type t = {
   parent : int array;        (* -1 at the root *)
   dfs_number : int array;
-  children : (int * int * int) array array;
-      (* children.(x) = (port at x, interval lo, interval hi) per child *)
+  child_start : int array;
+  children : int array;
+      (* x's children are children.(3i .. 3i+2) = (port at x, interval
+         lo, interval hi) for child_start.(x) <= i < child_start.(x+1) *)
 }
 
 let of_bfs g root =
   let n = Graph.order g in
   let _, parent = Bfs.distances_with_parents g root in
-  let kids = Array.make n [] in
-  for v = n - 1 downto 0 do
-    if v <> root && parent.(v) >= 0 then kids.(parent.(v)) <- v :: kids.(parent.(v))
+  (* rows in port order, for determinism; slot 3i+1 holds the child
+     vertex until the DFS numbers are known *)
+  let child_start = Array.make (n + 1) 0 in
+  let children = Array.make (3 * max 0 (n - 1)) 0 in
+  let i = ref 0 in
+  for u = 0 to n - 1 do
+    child_start.(u) <- !i;
+    for k = 1 to Graph.degree g u do
+      let w = Graph.neighbor g u ~port:k in
+      if parent.(w) = u then begin
+        children.(3 * !i) <- k;
+        children.((3 * !i) + 1) <- w;
+        incr i
+      end
+    done
   done;
-  (* order children by the port leading to them, for determinism *)
-  let port_of u w =
-    match Graph.port_to g ~src:u ~dst:w with Some k -> k | None -> assert false
-  in
-  let kids =
-    Array.mapi
-      (fun u l -> List.sort (fun a b -> compare (port_of u a) (port_of u b)) l)
-      kids
-  in
+  child_start.(n) <- !i;
   let dfs_number = Array.make n (-1) in
   let subtree_hi = Array.make n (-1) in
   let counter = ref 0 in
   let rec visit x =
     dfs_number.(x) <- !counter;
     incr counter;
-    List.iter visit kids.(x);
+    for j = child_start.(x) to child_start.(x + 1) - 1 do
+      visit children.((3 * j) + 1)
+    done;
     subtree_hi.(x) <- !counter - 1
   in
   visit root;
-  let children =
-    Array.mapi
-      (fun u l ->
-        Array.of_list
-          (List.map (fun c -> (port_of u c, dfs_number.(c), subtree_hi.(c))) l))
-      kids
-  in
-  { parent; dfs_number; children }
+  for j = 0 to !i - 1 do
+    let c = children.((3 * j) + 1) in
+    children.((3 * j) + 1) <- dfs_number.(c);
+    children.((3 * j) + 2) <- subtree_hi.(c)
+  done;
+  { parent; dfs_number; child_start; children }
 
 let parent_ports g t =
   Array.init (Graph.order g) (fun v ->
@@ -50,13 +56,28 @@ let parent_ports g t =
         | Some k -> k
         | None -> assert false)
 
+let child_count t x = t.child_start.(x + 1) - t.child_start.(x)
+
+let iter_children t x f =
+  let c = t.children in
+  for j = t.child_start.(x) to t.child_start.(x + 1) - 1 do
+    f c.(3 * j) c.((3 * j) + 1) c.((3 * j) + 2)
+  done
+
+(* The DFS visits children in port order, so a row's disjoint intervals
+   increase with [lo]: binary-search the last child with [lo <= dfs].
+   Invariant: every child before [lo] starts at or below [dfs], every
+   child after [hi] above it. A top-level loop (it runs on every hop),
+   annotated so the comparisons stay on ints rather than polymorphic. *)
+let rec last_start (c : int array) (dfs : int) lo hi =
+  if lo > hi then lo - 1
+  else begin
+    let mid = (lo + hi) / 2 in
+    if c.((3 * mid) + 1) <= dfs then last_start c dfs (mid + 1) hi
+    else last_start c dfs lo (mid - 1)
+  end
+
 let child_port t x ~dfs =
-  let row = t.children.(x) in
-  let rec scan i =
-    if i >= Array.length row then None
-    else begin
-      let p, lo, hi = row.(i) in
-      if lo <= dfs && dfs <= hi then Some p else scan (i + 1)
-    end
-  in
-  scan 0
+  let c = t.children and first = t.child_start.(x) in
+  let j = last_start c dfs first (t.child_start.(x + 1) - 1) in
+  if j >= first && dfs <= c.((3 * j) + 2) then Some c.(3 * j) else None

@@ -12,9 +12,8 @@ type data = {
   dist_to_a : int array;              (* d(v, A) per vertex *)
   home : int array;                   (* vertex -> index of p(v), nearest
                                          landmark, smallest id on ties *)
-  cluster : (int * int) array array;  (* cluster.(x) = sorted (dst, port):
-                                         destinations v with
-                                         d(x,v) < d(v,A) *)
+  cluster : Cluster_table.t;          (* x's table: destinations v
+                                         with d(x,v) < d(v,A) *)
   trees : Tree_labels.t array;        (* BFS tree per landmark *)
   up : int array array;               (* up.(i).(v) = port toward the
                                          parent in tree i, 0 at the root *)
@@ -61,50 +60,8 @@ let prepare ?(seed = 0x72) ?rate g =
   in
   (* Cluster tables: x stores a shortest-path port for every destination
      v with d(x,v) < d(v,A) — i.e. x ∈ C(v) in Thorup–Zwick notation,
-     equivalently v's bunch condition seen from x. Computed by one BFS
-     out of each destination v bounded by its landmark radius. *)
-  let cluster_lists = Array.make n [] in
-  for v = 0 to n - 1 do
-    let radius = dist_to_a.(v) in
-    if radius > 0 then begin
-      let dist = Array.make n (-1) in
-      let queue = Queue.create () in
-      dist.(v) <- 0;
-      Queue.add v queue;
-      while not (Queue.is_empty queue) do
-        let x = Queue.pop queue in
-        if dist.(x) < radius - 1 then
-          Array.iter
-            (fun y ->
-              if dist.(y) = -1 then begin
-                dist.(y) <- dist.(x) + 1;
-                Queue.add y queue
-              end)
-            (Graph.neighbors g x)
-      done;
-      for x = 0 to n - 1 do
-        if x <> v && dist.(x) >= 0 then begin
-          let deg = Graph.degree g x in
-          let rec find k =
-            if k > deg then assert false
-            else begin
-              let y = Graph.neighbor g x ~port:k in
-              if dist.(y) = dist.(x) - 1 then k else find (k + 1)
-            end
-          in
-          cluster_lists.(x) <- (v, find 1) :: cluster_lists.(x)
-        end
-      done
-    end
-  done;
-  let cluster =
-    Array.map
-      (fun entries ->
-        let a = Array.of_list entries in
-        Array.sort compare a;
-        a)
-      cluster_lists
-  in
+     equivalently v's bunch condition seen from x. *)
+  let cluster = Cluster_table.build g ~radius:(fun v -> dist_to_a.(v)) in
   let trees = Array.map (Tree_labels.of_bfs g) landmark in
   let up = Array.map (Tree_labels.parent_ports g) trees in
   { graph = g; landmark; landmark_index; dist_to_a; home; cluster; trees; up }
@@ -113,7 +70,7 @@ let landmarks d = Array.copy d.landmark
 let home d v = d.home.(v)
 let dist_to_landmarks d v = d.dist_to_a.(v)
 
-let cluster_members d x = Array.map fst d.cluster.(x)
+let cluster_members d x = Cluster_table.destinations d.cluster x
 
 let bunch d v =
   (* B(v) = { w : d(v,w) < d(v,A) } — exactly the set of vertices whose
@@ -123,40 +80,14 @@ let bunch d v =
   let g = d.graph in
   let n = Graph.order g in
   let radius = d.dist_to_a.(v) in
-  let acc = ref [] in
-  if radius > 0 then begin
-    let dist = Array.make n (-1) in
-    let queue = Queue.create () in
-    dist.(v) <- 0;
-    Queue.add v queue;
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      if dist.(x) < radius - 1 then
-        Array.iter
-          (fun y ->
-            if dist.(y) = -1 then begin
-              dist.(y) <- dist.(x) + 1;
-              Queue.add y queue
-            end)
-          (Graph.neighbors g x)
-    done;
-    for w = n - 1 downto 0 do
-      if w <> v && dist.(w) >= 0 then acc := w :: !acc
-    done
-  end;
-  Array.of_list !acc
-
-let cluster_lookup d x dst =
-  let a = d.cluster.(x) in
-  let rec bin lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let w, p = a.(mid) in
-      if w = dst then Some p else if w < dst then bin (mid + 1) hi else bin lo (mid - 1)
-    end
-  in
-  bin 0 (Array.length a - 1)
+  if radius <= 0 then [||]
+  else begin
+    let dist = Array.make n Bfs.infinity and queue = Array.make n 0 in
+    let k = Graph.bfs_fill ~max_dist:(radius - 1) g v dist queue in
+    let b = Array.sub queue 1 (k - 1) in
+    Array.sort compare b;
+    b
+  end
 
 let routing_function d =
   let g = d.graph in
@@ -174,7 +105,7 @@ let routing_function d =
            path (and keeps hitting, since d(x,v) only decreases);
            otherwise walk v's home tree — down if v is below x, else up
            toward the landmark p(v). *)
-        match cluster_lookup d x v with
+        match Cluster_table.lookup d.cluster x v with
         | Some p -> Some p
         | None ->
           (match Tree_labels.child_port d.trees.(li) x ~dfs with
@@ -201,23 +132,18 @@ let encode_vertex d v =
     Codes.write_fixed buf d.up.(i).(v) ~width:(pwidth + 1)
   done;
   (* cluster table *)
-  Codes.write_gamma buf (Array.length d.cluster.(v) + 1);
-  Array.iter
-    (fun (w, p) ->
+  Codes.write_gamma buf (Cluster_table.size d.cluster v + 1);
+  Cluster_table.iter d.cluster v (fun w p ->
       Codes.write_fixed buf w ~width:vwidth;
-      Codes.write_fixed buf (p - 1) ~width:pwidth)
-    d.cluster.(v);
+      Codes.write_fixed buf (p - 1) ~width:pwidth);
   (* child intervals in each landmark tree *)
   Array.iter
     (fun tree ->
-      let row = tree.Tree_labels.children.(v) in
-      Codes.write_gamma buf (Array.length row + 1);
-      Array.iter
-        (fun (p, lo, hi) ->
+      Codes.write_gamma buf (Tree_labels.child_count tree v + 1);
+      Tree_labels.iter_children tree v (fun p lo hi ->
           Codes.write_fixed buf (p - 1) ~width:pwidth;
           Codes.write_fixed buf lo ~width:vwidth;
-          Codes.write_fixed buf hi ~width:vwidth)
-        row)
+          Codes.write_fixed buf hi ~width:vwidth))
     d.trees;
   buf
 
@@ -280,4 +206,4 @@ let scheme =
 
 let cluster_sizes ?seed ?rate g =
   let d = prepare ?seed ?rate g in
-  Array.map Array.length d.cluster
+  Array.init (Graph.order g) (Cluster_table.size d.cluster)

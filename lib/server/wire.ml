@@ -242,9 +242,8 @@ let enc_graph b g =
   let n = Graph.order g in
   u32 b n;
   for v = 0 to n - 1 do
-    let nb = Graph.neighbors g v in
-    u16 b (Array.length nb);
-    Array.iter (fun u -> u32 b u) nb
+    u16 b (Graph.degree g v);
+    Graph.iter_neighbors g v (u32 b)
   done
 
 let dec_graph rd =

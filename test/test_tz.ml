@@ -274,6 +274,41 @@ let test_stretch_dist_exact_vs_sampled () =
        (Stretch_dist.measure ~cutoff:10 ~pairs:200 b.Scheme.rf)
          .Stretch_dist.ds_exact)
 
+(* Golden values on the seeded BA-300 of routing_lab (seed 1): the bit
+   counts and cluster-table sizes of both schemes, and a sampled stretch
+   summary, pinned from the pre-kernel implementation. Any reordering in
+   the cluster/BFS loops, the tree rows or the encoders shows up here. *)
+let test_golden_ba300 () =
+  let g =
+    Generators.barabasi_albert (Random.State.make [| 1; 300; 0xF00 |]) ~n:300
+      ~m:2
+  in
+  let bits s = Scheme.mem_bits (s.Scheme.build g) in
+  check_true "tz-3 bits" (bits Tz_scheme.scheme = (16_940, 154_753));
+  check_true "landmark-3 bits" (bits Landmark_scheme.scheme = (54_433, 439_118));
+  check_true "mem_local/mem_global are its projections"
+    (let b = Tz_scheme.build g in
+     (Scheme.mem_local b, Scheme.mem_global b) = (16_940, 154_753));
+  let digest a =
+    ( Array.fold_left ( + ) 0 a,
+      Array.fold_left max 0 a,
+      Array.fold_left (fun h x -> ((h * 31) + x) land 0xFFFFFFFF) 17 a )
+  in
+  check_true "tz-3 cluster sizes"
+    (digest (Tz_scheme.cluster_sizes g) = (761, 44, 57_728_996));
+  check_true "landmark-3 cluster sizes"
+    (digest (Landmark_scheme.cluster_sizes g) = (592, 29, 2_253_672_607));
+  let rf = (Tz_scheme.build g).Scheme.rf in
+  List.iter
+    (fun domains ->
+      let s = Stretch_dist.sampled ~seed:5 ~pairs:3000 ~domains rf in
+      check_true "sampled mean" (s.Stretch_dist.ds_mean = 0x1.291a88713b4f6p+0);
+      check_true "sampled p95" (s.Stretch_dist.ds_p95 = 0x1.aaaaaaaaaaaabp+0);
+      check_true "sampled max" (s.Stretch_dist.ds_max = 3.0))
+    [ 1; 2 ];
+  check_true "exact mean"
+    ((Stretch_dist.exact rf).Stretch_dist.ds_mean = 0x1.2a9d553df3d5ap+0)
+
 let suite =
   [
     case "delivers on petersen" test_delivers_petersen;
@@ -293,4 +328,5 @@ let suite =
       arbitrary_connected_graph (fun g ->
         Routing_function.stretch_at_most (Tz_scheme.build g).Scheme.rf ~num:3
           ~den:1);
+    case "golden BA-300 bits, clusters and stretch" test_golden_ba300;
   ]
