@@ -6,11 +6,14 @@
    graph must sit well under 1.5 (the Krioukov/Fall/Yang regime), its
    global memory must stay within the ~n^(3/2) TZ bound, and both its
    local and global footprints must undercut the Cowen-style landmark
-   scheme on the same graph, and routing a pair must allocate at most a
+   scheme on the same graph, routing a pair must allocate at most a
    fixed number of minor-heap words per hop (route_length walks the
-   route without building a trace). Then build and routing throughput
-   are timed through the shared Umrs_bench harness and gated against
-   the committed BENCH_tz.json baseline. *)
+   route without building a trace), and the exact stretch pass must
+   evaluate the port function at most a fixed number of times per
+   ordered pair (routes end at the first node an earlier route to the
+   same destination left with an equal header). Then build and routing
+   throughput are timed through the shared Umrs_bench harness and
+   gated against the committed BENCH_tz.json baseline. *)
 
 open Umrs_graph
 open Umrs_routing
@@ -68,6 +71,24 @@ let words_per_hop rf pairs =
   let words = Gc.minor_words () -. w0 in
   words /. float_of_int (max 1 !hops)
 
+(* Port evaluations per ordered pair while Stretch_dist.exact measures
+   every pair — again a deterministic count, gated hard. A walk per
+   pair evaluates the port once per node of its route (mean hops + 1
+   per pair); the destination-major memo stops a route at the first
+   node that an earlier route left with an equal header. Bound: the
+   measured 1.004 + 20%; one walk per pair makes 5.08. *)
+let max_exact_ports_per_pair = 1.21
+
+let exact_ports_per_pair (rf : Routing_function.t) =
+  let calls = ref 0 in
+  let counted =
+    { rf with
+      Routing_function.port = (fun u h -> incr calls; rf.port u h) }
+  in
+  ignore (Stretch_dist.exact counted);
+  let n = Graph.order rf.graph in
+  float_of_int !calls /. float_of_int (n * (n - 1))
+
 let () =
   let st = Random.State.make [| 0x72; 0x5EED |] in
   let ba = Generators.barabasi_albert st ~n:256 ~m:2 in
@@ -97,6 +118,12 @@ let () =
       wph max_words_per_hop;
   Printf.printf "ba-256 route_length: %.2f minor words per hop (bound %.1f)\n"
     wph max_words_per_hop;
+  let ppp = exact_ports_per_pair rf in
+  if ppp > max_exact_ports_per_pair then
+    die "ba-256: exact stretch evaluates port %.3f times per pair (bound %.2f)"
+      ppp max_exact_ports_per_pair;
+  Printf.printf "ba-256 exact stretch: %.3f port calls per pair (bound %.2f)\n"
+    ppp max_exact_ports_per_pair;
   B.Harness.register ~name:"tz/route(ba-256)"
     ~budget:{ B.Harness.warmup = 1; min_iters = 3; max_iters = 25;
               max_seconds = 2.0 }
@@ -113,7 +140,8 @@ let () =
           ("ba_max_stretch", B.Json.Num d_ba.Stretch_dist.ds_max);
           ("powerlaw_mean_stretch", B.Json.Num d_pl.Stretch_dist.ds_mean);
           ("ba_mem_global_bits", B.Json.Num (float_of_int ba_global));
-          ("ba_route_words_per_hop", B.Json.Num wph) ]
+          ("ba_route_words_per_hop", B.Json.Num wph);
+          ("ba_exact_ports_per_pair", B.Json.Num ppp) ]
       ()
   in
   B.Cli.finish ~default_json:"BENCH_tz.json" report;

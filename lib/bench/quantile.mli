@@ -15,8 +15,18 @@ type t
 (** An immutable sorted sample. *)
 
 val of_array : float array -> t
-(** Copies and sorts; the argument is not modified.
+(** Copies and sorts; the argument is not modified. The order is
+    exactly [Array.sort Float.compare]'s: a float merge sort with inline
+    comparisons, or that sort itself on a sample holding a NaN (which
+    the merge sort's [<=] cannot place) or a [-0.0] (where an unstable
+    sort's choice among equal keys shows in the result's bits).
     @raise Invalid_argument on an empty sample. *)
+
+val of_array_owned : float array -> t
+(** [of_array] without the copy: sorts the argument in place and keeps
+    it as the sample, so the caller must neither read nor modify it
+    afterwards. For large throw-away samples (a million stretch ratios
+    is 8 MB). *)
 
 val of_list : float list -> t
 

@@ -99,16 +99,14 @@ let iter_neighbors g v f = Array.iter f g.adj.(v)
 
 let unvisited = max_int
 
-let bfs_fill ?(max_dist = max_int) g src dist queue =
-  let adj = g.adj in
-  let n = Array.length adj in
-  if src < 0 || src >= n then invalid_arg "Graph.bfs_fill: bad source";
-  if Array.length dist < n || Array.length queue < n then
-    invalid_arg "Graph.bfs_fill: buffers shorter than the order";
-  dist.(src) <- 0;
-  queue.(0) <- src;
+(* The search from [queue.(0)] (already at distance 0). It stops
+   expanding once [left] vertices [w] with [marks.(w) = mark] have been
+   visited. [left] is checked once per expanded vertex, so the loop over
+   a row gains only the mark test on each newly visited vertex. *)
+let bfs_loop adj max_dist (marks : int array) mark left dist queue =
+  let left = ref (if marks.(queue.(0)) = mark then left - 1 else left) in
   let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
+  while !head < !tail && !left > 0 do
     let v = queue.(!head) in
     incr head;
     let dv = dist.(v) in
@@ -119,12 +117,31 @@ let bfs_fill ?(max_dist = max_int) g src dist queue =
         if dist.(w) = unvisited then begin
           dist.(w) <- dv + 1;
           queue.(!tail) <- w;
-          incr tail
+          incr tail;
+          if marks.(w) = mark then decr left
         end
       done
     end
   done;
   !tail
+
+let bfs_fill ?(max_dist = max_int) ?targets g src dist queue =
+  let adj = g.adj in
+  let n = Array.length adj in
+  if src < 0 || src >= n then invalid_arg "Graph.bfs_fill: bad source";
+  if Array.length dist < n || Array.length queue < n then
+    invalid_arg "Graph.bfs_fill: buffers shorter than the order";
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  match targets with
+  | None ->
+    (* [dist] as the marks: no distance is -1, so the search never
+       stops early *)
+    bfs_loop adj max_dist dist (-1) max_int dist queue
+  | Some (marks, mark, count) ->
+    if Array.length marks < n then
+      invalid_arg "Graph.bfs_fill: marks shorter than the order";
+    bfs_loop adj max_dist marks mark count dist queue
 
 let port_to g ~src ~dst =
   let row = g.adj.(src) in

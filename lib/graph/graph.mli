@@ -56,8 +56,9 @@ val iter_neighbors : t -> vertex -> (vertex -> unit) -> unit
 (** {1 Breadth-first search kernel} *)
 
 val bfs_fill :
-  ?max_dist:int -> t -> vertex -> int array -> int array -> int
-(** [bfs_fill ?max_dist g src dist queue] is the one breadth-first
+  ?max_dist:int -> ?targets:int array * int * int ->
+  t -> vertex -> int array -> int array -> int
+(** [bfs_fill ?max_dist ?targets g src dist queue] is the one breadth-first
     search of the library ({!Bfs} wraps it). It runs over two
     caller-owned buffers of length at least [order g]:
 
@@ -70,10 +71,14 @@ val bfs_fill :
 
     With [max_dist], vertices at distance [max_dist] are visited but not
     expanded, so exactly the vertices within [max_dist] hops are
-    visited. A caller reusing the buffers for another source resets
+    visited. With [~targets:(marks, mark, count)] the search expands no
+    further vertex once [count] vertices [w] with [marks.(w) = mark]
+    have been visited (their distances are then final; [marks] has
+    length at least [order g]); the result is still the visited count.
+    A caller reusing the buffers for another source resets
     [dist.(queue.(i)) <- max_int] for [i < k] — O(k), not O(n).
-    Allocates nothing. Raises [Invalid_argument] on a bad source or
-    short buffers. *)
+    Allocates nothing but the optional argument. Raises
+    [Invalid_argument] on a bad source or short buffers. *)
 
 val port_to : t -> src:vertex -> dst:vertex -> port option
 (** The local port of [src] whose arc leads to [dst], if adjacent. *)

@@ -59,9 +59,22 @@ val route_length : ?max_hops:int -> t -> Graph.vertex -> Graph.vertex -> int
     it allocates only what the routing function itself does. *)
 
 val delivers_all : t -> bool
-(** All ordered pairs are delivered without looping. *)
+(** All ordered pairs are delivered without looping (within the
+    default hop budget of {!route}). *)
 
-(** {1 Stretch} *)
+(** {1 Stretch}
+
+    [delivers_all], [stretch], [stretch_ratios] and [stretch_at_most]
+    share one all-pairs walk. It runs destination-major and keeps, per
+    node, the header a finished route arrived with and the hops it still
+    had to go; a later route that reaches that node with an equal header
+    adds the stored remainder and stops. That is exact because the model
+    makes [port] and [next_header] functions of the node and the header
+    alone, so these four assume a routing function whose [port],
+    [next_header] and [init] keep no state between calls. Hop budget
+    and exceptions are those of {!route_length}, pair by pair; when
+    several pairs fail, the one raised is the first in
+    destination-major order. *)
 
 type stretch_report = {
   max_ratio : float;
@@ -76,14 +89,9 @@ type stretch_report = {
 val stretch : ?dist:int array array -> t -> stretch_report
 (** Exhaustive stretch over all ordered pairs of distinct vertices. A
     precomputed distance matrix may be supplied. Raises if some pair is
-    not delivered. *)
-
-val sampled_stretch :
-  Random.State.t -> t -> pairs:int -> float
-(** Maximum ratio over [pairs] uniform random source/destination pairs —
-    a lower bound on the true worst-case stretch, usable at orders where
-    the exhaustive [O(n^2)] scan is too slow. Distances are computed per
-    sampled source only. *)
+    not delivered. The worst pair is the lexicographically smallest
+    [(u, v)] of maximal ratio; the mean sums the ratios in row-major
+    pair order. *)
 
 val stretch_ratios : ?dist:int array array -> t -> float array
 (** The per-pair ratio [dR/dG] for every ordered pair of distinct
@@ -92,7 +100,13 @@ val stretch_ratios : ?dist:int array array -> t -> float array
 
 val stretch_at_most : ?dist:int array array -> t -> num:int -> den:int -> bool
 (** [stretch_at_most rf ~num ~den]: every routing path satisfies
-    [den * dR <= num * dG] — exact rational comparison, no floats. *)
+    [den * dR <= num * dG] — exact rational comparison, no floats. A
+    pair that loops counts as a violation (the result is [false]); a
+    mis-delivery raises [Invalid_argument]. The pairs are checked in
+    destination-major order and the first failure decides, so on a
+    function that both mis-delivers one pair and exceeds the bound on
+    another, the verdict ([false] or the exception) depends on which
+    of the two comes first in that order. *)
 
 (** {1 Header accounting}
 

@@ -16,7 +16,7 @@ let default_sample_pairs = 20_000
 
 let of_ratios ~exact ratios =
   if Array.length ratios = 0 then invalid_arg "Stretch_dist.of_ratios: empty";
-  let q = Q.of_array ratios in
+  let q = Q.of_array_owned ratios in
   {
     ds_pairs = Array.length ratios;
     ds_exact = exact;
@@ -32,55 +32,18 @@ let exact ?dist rf =
 
 let sampled ?(seed = 0xD157) ?(pairs = default_sample_pairs) ?domains rf =
   let g = rf.Routing_function.graph in
-  let n = Graph.order g in
-  if n < 2 then invalid_arg "Stretch_dist.sampled: need n >= 2";
+  if Graph.order g < 2 then invalid_arg "Stretch_dist.sampled: need n >= 2";
   let pairs = max 1 pairs in
-  (* Draw the pair sample up front (seeded, sequential), group the
-     destinations by source, then fan the per-source BFS + routes out
-     over domains. The result is a deterministic function of the seed
-     regardless of the domain count. *)
-  let st = Random.State.make [| seed; n; pairs; 0xD157 |] in
-  let by_src = Array.make n [] in
-  for _ = 1 to pairs do
-    let u = Random.State.int st n in
-    let rec draw () =
-      let v = Random.State.int st n in
-      if v = u then draw () else v
-    in
-    by_src.(u) <- draw () :: by_src.(u)
-  done;
-  let sources =
-    Array.of_list
-      (List.filter (fun u -> by_src.(u) <> []) (List.init n Fun.id))
-  in
-  (* Source i's ratios fill ratios.(offset.(i) ..) in draw order, each
-     domain writing its own sources' slots. One dist/queue pair per
-     domain is reused across its sources: after a source, only the
-     entries its BFS visited are reset to unvisited. *)
-  let offset = Array.make (Array.length sources + 1) 0 in
-  Array.iteri
-    (fun i u -> offset.(i + 1) <- offset.(i) + List.length by_src.(u))
-    sources;
+  (* the pairs and their distances are shared by every scheme measured
+     on this graph; only the routes are this scheme's *)
+  let s = Dist_cache.sampled_pairs ?domains g ~seed ~pairs in
   let ratios = Array.make pairs 1.0 in
   ignore
-    (Parallel.map_range_with ?domains
-       ~init:(fun () -> (Array.make n Bfs.infinity, Array.make n 0))
-       (Array.length sources)
-       (fun (dist, queue) i ->
-         let u = sources.(i) in
-         let k = Graph.bfs_fill g u dist queue in
-         (* by_src lists destinations newest draw first *)
-         let slot = ref (offset.(i + 1)) in
-         List.iter
-           (fun v ->
-             decr slot;
-             let dr = Routing_function.route_length rf u v in
-             ratios.(!slot) <- float_of_int dr /. float_of_int dist.(v))
-           by_src.(u);
-         for j = 0 to k - 1 do
-           dist.(queue.(j)) <- Bfs.infinity
+    (Parallel.map_ranges ?domains pairs (fun ~lo ~hi ->
+         for i = lo to hi - 1 do
+           let dr = Routing_function.route_length rf s.src.(i) s.dst.(i) in
+           ratios.(i) <- float_of_int dr /. float_of_int s.dist.(i)
          done));
-  assert (offset.(Array.length sources) = pairs);
   of_ratios ~exact:false ratios
 
 let measure ?(cutoff = default_cutoff) ?pairs ?seed ?domains rf =

@@ -7,8 +7,11 @@
     Below a node cutoff the distribution is exact over all ordered
     pairs (one shared APSP via {!Umrs_graph.Dist_cache}); above it a
     seeded pair sample is measured with one BFS per sampled source,
-    fanned out over {!Umrs_graph.Parallel} domains. Either way the
-    result is a deterministic function of the graph and the seed. *)
+    fanned out over {!Umrs_graph.Parallel} domains. The sample and its
+    distances are cached in {!Umrs_graph.Dist_cache} too, so the second
+    scheme measured on a graph runs no BFS at all; [Dist_cache.clear]
+    drops both. Either way the result is a deterministic function of
+    the graph and the seed. *)
 
 type summary = {
   ds_pairs : int;    (** ratios measured (all ordered pairs if exact) *)
@@ -29,15 +32,19 @@ val default_sample_pairs : int
 
 val of_ratios : exact:bool -> float array -> summary
 (** Summarize a per-pair ratio array (quantiles via
-    {!Umrs_bench.Quantile}, nearest rank). Raises on empty input. *)
+    {!Umrs_bench.Quantile}, nearest rank). The array is taken over: it
+    is sorted in place ({!Umrs_bench.Quantile.of_array_owned}). Raises
+    on empty input. *)
 
 val exact : ?dist:int array array -> Routing_function.t -> summary
 (** All ordered pairs, via {!Routing_function.stretch_ratios}. *)
 
 val sampled :
   ?seed:int -> ?pairs:int -> ?domains:int -> Routing_function.t -> summary
-(** [pairs] seeded uniform source/destination pairs; distances from one
-    BFS per sampled source, parallel over sources. *)
+(** [pairs] seeded uniform source/destination pairs from
+    {!Umrs_graph.Dist_cache.sampled_pairs} (one BFS per sampled source
+    on the first call for a graph, seed and pair count; none after),
+    routed in parallel over pairs. *)
 
 val measure :
   ?cutoff:int -> ?pairs:int -> ?seed:int -> ?domains:int ->

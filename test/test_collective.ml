@@ -45,13 +45,17 @@ let test_sampled_stretch () =
   let st = rng () in
   let g = Generators.torus 5 5 in
   let exact = (Routing_function.stretch (tables g)).Routing_function.max_ratio in
-  let sampled = Routing_function.sampled_stretch st (tables g) ~pairs:60 in
+  let sampled_max ~pairs rf =
+    (Stretch_dist.sampled ~seed:(Random.State.bits st) ~pairs rf)
+      .Stretch_dist.ds_max
+  in
+  let sampled = sampled_max ~pairs:60 (tables g) in
   check_true "sampled <= exact" (sampled <= exact +. 1e-9);
   check_true "sampled >= 1" (sampled >= 1.0);
   (* on a detour-heavy function, sampling finds stretch > 1 quickly *)
   let b = Spanner_scheme.build ~k:2 (Generators.complete 16) in
   check_true "detects stretch"
-    (Routing_function.sampled_stretch st b.Scheme.rf ~pairs:120 > 1.0)
+    (sampled_max ~pairs:120 b.Scheme.rf > 1.0)
 
 let test_parallel_table_build () =
   let st = rng () in
